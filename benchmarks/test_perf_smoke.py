@@ -85,8 +85,9 @@ def test_perf_smoke():
     _, mesh_s = _timed(lambda: simulate(trace, ds_cfg, network=mesh))
 
     # Co-simulation throughput: every processor of a 4-node tiny LU
-    # stepping against one shared mesh (the ThreadStepper fast path),
-    # in co-simulated cycles per second of wall time.
+    # stepping against one shared mesh (the fast engines as generator
+    # steppers on one thread), in co-simulated cycles per second of
+    # wall time.
     from repro.cosim import run_cosim
     from repro.experiments.runner import TraceStore
 

@@ -1,11 +1,15 @@
-"""The co-simulation engine: one event wheel over all processors.
+"""The co-simulation engine: one request heap over all processors.
 
-Every processor model is wrapped in a *stepper handle* exposing
-``start() -> request | None`` and ``send(answer) -> request | None``
-(``None`` means the model ran to completion; its breakdown is then in
-``.result``).  The :class:`CosimEngine` keeps at most one outstanding
-request per processor on a min-heap keyed by request time and serves
-them in global timestamp order:
+Every processor model is a resumable stepper (:mod:`repro.cpu.requests`)
+behind one :class:`GenStepper` handle exposing ``start() -> request |
+None`` and ``send(answer) -> request | None`` (``None`` means the model
+ran to completion; its breakdown is then in ``.result``).  This holds
+for both engines: the scalar reference loops and the fast engines
+(vectorized static models, event-driven DS) all yield at each miss, so
+co-simulation runs on one host thread and hands off between processors
+with a plain generator ``send``.  The :class:`CosimEngine` keeps at most
+one outstanding request per processor on a min-heap keyed by request
+time and serves them in global timestamp order:
 
 * :class:`~repro.cpu.requests.MemRequest` — served on the **shared**
   :class:`repro.net.ContentionNetwork`, so this miss queues behind every
@@ -22,34 +26,21 @@ them in global timestamp order:
 * :class:`~repro.cpu.requests.ReleaseNotify` — records the release's
   co-simulated perform time and resumes any parked acquirers.
 
-Three stepper handles cover the engine choices:
-
-* :class:`GenStepper` — a reference-model generator (the scalar timing
-  loops of :mod:`repro.cpu`), advanced with ``send()`` directly.
-* :class:`ThreadStepper` — a *fast* engine (vectorized static models,
-  event-driven DS) running in a worker thread against a proxy network
-  whose ``replay_miss`` blocks on a rendezvous channel.  Exactly one
-  thread runs at any moment (the coordinator blocks while the worker
-  runs and vice versa), and the fast engines guarantee the same
-  ``replay_miss`` call sequence as the reference models, so results are
-  byte-identical to :class:`GenStepper` co-simulation — just faster.
-* :class:`ImmediateStepper` — a completed standalone run (used when the
-  network is ideal and sync is replayed, where co-simulation is
-  definitionally equivalent to per-processor simulation).
+With the ideal fabric and replayed sync nothing couples the processors:
+the fast engines then never yield, and each handle finishes in
+``start()`` with its standalone result.
 
 Request timestamps are only approximately causal across processors — a
 model may reveal its next request after the engine has served a
 slightly-later one from another processor (the same conservatism the
 post-hoc ``contention`` replay has).  Service order is deterministic:
 the heap breaks timestamp ties by processor index, and nothing depends
-on wall-clock or thread scheduling.
+on wall-clock time.
 """
 
 from __future__ import annotations
 
 import heapq
-import queue
-import threading
 from dataclasses import dataclass, field
 
 from ..cpu.requests import MemRequest, ReleaseNotify, SyncRequest
@@ -61,7 +52,7 @@ PENDING = -1
 
 
 class GenStepper:
-    """Handle over a reference-model stepper generator."""
+    """Handle over a processor model's stepper generator."""
 
     __slots__ = ("_gen", "result")
 
@@ -82,90 +73,6 @@ class GenStepper:
         except StopIteration as stop:
             self.result = stop.value
             return None
-
-
-class ImmediateStepper:
-    """Handle over an already-finished standalone run (no requests)."""
-
-    __slots__ = ("result",)
-
-    def __init__(self, result) -> None:
-        self.result = result
-
-    def start(self):
-        return None
-
-    def send(self, answer):  # pragma: no cover - never reached
-        raise RuntimeError("ImmediateStepper issues no requests")
-
-
-class _ChannelNetwork:
-    """Network facade handed to a fast engine inside a ThreadStepper.
-
-    Every ``replay_miss`` becomes a :class:`MemRequest` posted to the
-    coordinator; the worker thread blocks until the co-simulation engine
-    answers with the shared fabric's actual latency.
-    """
-
-    __slots__ = ("_stepper",)
-
-    def __init__(self, stepper: "ThreadStepper") -> None:
-        self._stepper = stepper
-
-    def replay_miss(self, cpu: int, addr: int, is_write: bool,
-                    now: int) -> int:
-        return self._stepper._rpc(MemRequest(addr, is_write, now, 0))
-
-
-class ThreadStepper:
-    """Handle running a fast engine in a worker thread.
-
-    ``fn`` is called with the proxy network and must return the model's
-    breakdown; its stateful ``network.replay_miss`` calls rendezvous
-    with the coordinator one at a time, so the handle presents the same
-    start/send protocol as a generator.  Only meaningful with a real
-    shared network — the proxy cannot answer from baked stalls.
-    """
-
-    __slots__ = ("_req_q", "_ans_q", "_thread", "result")
-
-    def __init__(self, fn) -> None:
-        self._req_q: queue.Queue = queue.Queue(1)
-        self._ans_q: queue.Queue = queue.Queue(1)
-        self.result = None
-        self._thread = threading.Thread(
-            target=self._main, args=(fn,), daemon=True
-        )
-
-    def _main(self, fn) -> None:
-        try:
-            result = fn(_ChannelNetwork(self))
-        except BaseException as exc:  # surfaced in the coordinator
-            self._req_q.put(("error", exc))
-            return
-        self._req_q.put(("done", result))
-
-    def _rpc(self, request: MemRequest) -> int:
-        self._req_q.put(("request", request))
-        return self._ans_q.get()
-
-    def _pump(self):
-        kind, payload = self._req_q.get()
-        if kind == "request":
-            return payload
-        self._thread.join()
-        if kind == "error":
-            raise payload
-        self.result = payload
-        return None
-
-    def start(self):
-        self._thread.start()
-        return self._pump()
-
-    def send(self, answer):
-        self._ans_q.put(answer)
-        return self._pump()
 
 
 @dataclass

@@ -1,37 +1,23 @@
 """High-level co-simulation entry points.
 
-:func:`build_node` maps one (trace, processor-config) pair onto the
-cheapest stepper handle that preserves exact timing for the requested
-mode; :func:`run_cosim` co-simulates a whole :class:`CosimRun` (every
-processor of the application on one shared fabric); :func:`replay_solo`
-routes a *single* processor through the same engine and a fresh fabric —
-the ``contention`` experiment's replay mode, now sharing the cosim code
-path instead of duplicating it.
+:func:`build_node` maps one (trace, processor-config) pair onto a
+stepper handle; :func:`run_cosim` co-simulates a whole
+:class:`CosimRun` (every processor of the application on one shared
+fabric); :func:`replay_solo` routes a *single* processor through the
+same engine and a fresh fabric — the ``contention`` experiment's replay
+mode, now sharing the cosim code path instead of duplicating it.
 """
 
 from __future__ import annotations
 
-from ..consistency import get_model
 from ..cpu import (
-    DSConfig,
-    DSProcessor,
     MultiContextConfig,
     MultiContextProcessor,
     ProcessorConfig,
-    base_stepper,
-    simulate,
-    ss_stepper,
-    ssbr_stepper,
+    model_stepper,
 )
 from ..net import build_network
-from .engine import (
-    CosimEngine,
-    CosimNode,
-    CosimResult,
-    GenStepper,
-    ImmediateStepper,
-    ThreadStepper,
-)
+from .engine import CosimEngine, CosimNode, CosimResult, GenStepper
 
 
 def build_node(
@@ -43,71 +29,24 @@ def build_node(
 ) -> CosimNode:
     """Wrap one processor model around ``trace`` as a cosim node.
 
-    Engine selection preserves byte-identical timing in every mode:
-
-    * ``reference`` (or live sync, which only the scalar steppers
-      support) — the model's generator behind a :class:`GenStepper`;
-    * ``fast`` with a shared network — the vectorized/event-driven
-      engine in a :class:`ThreadStepper`, whose ``replay_miss`` call
-      sequence is guaranteed identical to the reference stepper's;
-    * ``fast`` without a network (ideal fabric, replayed sync) — the
-      standalone result via :class:`ImmediateStepper`, since nothing
-      couples the processors.
+    Every engine is a resumable stepper (:func:`repro.cpu.model_stepper`)
+    behind one :class:`GenStepper`.  With a shared network the model
+    yields at each miss; on the ideal fabric with replayed sync the fast
+    engines never yield and the node completes in ``start()``.  Live
+    sync runs the scalar steppers, the only ones that suspend at sync
+    operations.
     """
-    kind = config.kind.lower()
-    label = config.label()
-    fast = config.engine.lower() == "fast"
-    # Live sync needs the scalar steppers: the vectorized/event-driven
-    # fast engines cannot suspend at a sync operation.
-    if fast and not live_sync:
-        if not has_network:
-            return CosimNode(
-                ImmediateStepper(simulate(trace, config, probe=probe)),
-                label=label, net_cpu=trace.cpu,
-            )
-        return CosimNode(
-            ThreadStepper(
-                lambda network: simulate(
-                    trace, config, network=network, probe=probe
-                )
-            ),
-            label=label, net_cpu=trace.cpu,
-        )
-    clamp = has_network
-    if kind == "base":
-        gen = base_stepper(trace, label=label, clamp_time=clamp)
-    elif kind == "ssbr":
-        gen = ssbr_stepper(
-            trace, get_model(config.model), label=label,
-            clamp_time=clamp, probe=probe,
-        )
-    elif kind == "ss":
-        gen = ss_stepper(
-            trace, get_model(config.model), label=label,
-            clamp_time=clamp, probe=probe,
-        )
-    elif kind == "ds":
-        ds_kwargs = dict(config.ds)
-        ds_kwargs.pop("network", None)  # the engine serves the fabric
-        ds_config = DSConfig(
-            window=config.window,
-            issue_width=config.issue_width,
-            perfect_branch_prediction=config.perfect_bp,
-            ignore_data_dependences=config.ignore_deps,
-            **ds_kwargs,
-        )
-        gen = DSProcessor(
-            trace, get_model(config.model), ds_config, probe=probe
-        ).steps(label=label, live_sync=live_sync)
-        # A parked DS stepper cannot drain its store buffer, so the
-        # engine must answer PENDING instead of suspending it.
-        return CosimNode(
-            GenStepper(gen), label=label, net_cpu=trace.cpu,
-            parkable=not live_sync,
-        )
-    else:
-        raise ValueError(f"unknown processor kind {config.kind!r}")
-    return CosimNode(GenStepper(gen), label=label, net_cpu=trace.cpu)
+    gen = model_stepper(
+        trace, config, networked=has_network, probe=probe,
+        live_sync=live_sync,
+    )
+    # A parked DS stepper cannot drain its store buffer, so the engine
+    # must answer PENDING instead of suspending it.
+    parkable = not (live_sync and config.kind.lower() == "ds")
+    return CosimNode(
+        GenStepper(gen), label=config.label(), net_cpu=trace.cpu,
+        parkable=parkable,
+    )
 
 
 def _build_mc_nodes(traces, contexts: int, switch_penalty: int):

@@ -23,6 +23,7 @@ from .ds import (
     BranchTargetBuffer,
     DSConfig,
     DSProcessor,
+    ds_fast_stepper,
     simulate_ds,
     simulate_ds_fast,
 )
@@ -42,9 +43,12 @@ from .static import (
     ssbr_stepper,
 )
 from .static_fast import (
+    base_fast_stepper,
     simulate_base_fast,
     simulate_ss_fast,
     simulate_ssbr_fast,
+    ss_fast_stepper,
+    ssbr_fast_stepper,
 )
 
 
@@ -99,6 +103,74 @@ class ProcessorConfig:
         return name
 
 
+def model_stepper(
+    trace: Trace,
+    config: ProcessorConfig,
+    networked: bool = False,
+    probe=None,
+    live_sync: bool = False,
+):
+    """The configured processor model as a resumable stepper.
+
+    The generator speaks the :mod:`repro.cpu.requests` protocol and
+    returns the model's breakdown (published into ``probe`` when it is
+    enabled).  ``networked`` means the driver answers each
+    :class:`MemRequest` from a stateful network: the fast engines then
+    yield at every miss, and every model keeps its clock from running
+    backwards on a negative sync wait.  Without it the fast engines
+    never yield.  ``live_sync`` asks for a model that suspends at each
+    acquire and announces each release; only the scalar steppers do, so
+    it selects them whatever ``config.engine`` says.
+    """
+    kind = config.kind.lower()
+    engine = config.engine.lower()
+    if engine not in ("fast", "reference"):
+        raise ValueError(f"unknown engine {config.engine!r}")
+    fast = engine == "fast" and not live_sync
+    label = config.label()
+    if kind == "base":
+        if fast:
+            gen = base_fast_stepper(trace, label, networked=networked)
+        else:
+            gen = base_stepper(trace, label=label, clamp_time=networked)
+    elif kind in ("ssbr", "ss"):
+        model = get_model(config.model)
+        if fast:
+            steps = ssbr_fast_stepper if kind == "ssbr" else ss_fast_stepper
+            gen = steps(
+                trace, model, label=label, networked=networked, probe=probe
+            )
+        else:
+            steps = ssbr_stepper if kind == "ssbr" else ss_stepper
+            gen = steps(
+                trace, model, label=label, clamp_time=networked, probe=probe
+            )
+    elif kind == "ds":
+        model = get_model(config.model)
+        ds_config = DSConfig(
+            window=config.window,
+            issue_width=config.issue_width,
+            perfect_branch_prediction=config.perfect_bp,
+            ignore_data_dependences=config.ignore_deps,
+            **config.ds,
+        )
+        if fast:
+            gen = ds_fast_stepper(
+                trace, model, ds_config, label=label, probe=probe,
+                networked=networked,
+            )
+        else:
+            gen = DSProcessor(trace, model, ds_config, probe=probe).steps(
+                label=label, live_sync=live_sync
+            )
+    else:
+        raise ValueError(f"unknown processor kind {config.kind!r}")
+    breakdown = yield from gen
+    if probe is not None and probe.enabled:
+        probe.publish_breakdown(breakdown)
+    return breakdown
+
+
 def simulate(
     trace: Trace, config: ProcessorConfig, network=None, probe=None
 ) -> ExecutionBreakdown:
@@ -109,50 +181,12 @@ def simulate(
     it; None keeps the trace's baked fixed-penalty stalls.  ``probe``
     (a :class:`repro.obs.Probe`) collects occupancy histograms, retire
     spans (DS), and the resulting breakdown; results are byte-identical
-    with or without one.
+    with or without one.  Drives :func:`model_stepper` to completion.
     """
-    kind = config.kind.lower()
-    engine = config.engine.lower()
-    if engine not in ("fast", "reference"):
-        raise ValueError(f"unknown engine {config.engine!r}")
-    fast = engine == "fast"
-    if kind == "base":
-        run_base = simulate_base_fast if fast else simulate_base
-        breakdown = run_base(trace, label=config.label(), network=network)
-    else:
-        model = get_model(config.model)
-        if kind == "ssbr":
-            run_ssbr = simulate_ssbr_fast if fast else simulate_ssbr
-            breakdown = run_ssbr(
-                trace, model, label=config.label(), network=network,
-                probe=probe,
-            )
-        elif kind == "ss":
-            run_ss = simulate_ss_fast if fast else simulate_ss
-            breakdown = run_ss(
-                trace, model, label=config.label(), network=network,
-                probe=probe,
-            )
-        elif kind == "ds":
-            ds_kwargs = dict(config.ds)
-            if network is not None:
-                ds_kwargs["network"] = network
-            ds_config = DSConfig(
-                window=config.window,
-                issue_width=config.issue_width,
-                perfect_branch_prediction=config.perfect_bp,
-                ignore_data_dependences=config.ignore_deps,
-                **ds_kwargs,
-            )
-            run_ds = simulate_ds_fast if fast else simulate_ds
-            breakdown = run_ds(
-                trace, model, ds_config, label=config.label(), probe=probe
-            )
-        else:
-            raise ValueError(f"unknown processor kind {config.kind!r}")
-    if probe is not None and probe.enabled:
-        probe.publish_breakdown(breakdown)
-    return breakdown
+    stepper = model_stepper(
+        trace, config, networked=network is not None, probe=probe
+    )
+    return drive(stepper, network=network, cpu=trace.cpu)
 
 
 __all__ = [
@@ -168,11 +202,16 @@ __all__ = [
     "ReleaseNotify",
     "ScheduleStats",
     "SyncRequest",
+    "base_fast_stepper",
     "base_stepper",
     "drive",
+    "ds_fast_stepper",
+    "model_stepper",
     "schedule_reads_early",
     "simulate_multicontext",
+    "ss_fast_stepper",
     "ss_stepper",
+    "ssbr_fast_stepper",
     "ssbr_stepper",
     "WriteBuffer",
     "simulate",

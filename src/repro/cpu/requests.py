@@ -24,8 +24,11 @@ answer via ``send()``:
 A stepper terminates by returning its
 :class:`~repro.cpu.results.ExecutionBreakdown` (surfaced as
 ``StopIteration.value``).  :func:`drive` replays a stepper to completion
-standalone — it is the engine behind the scalar reference simulators, so
-the stepper *is* the timing model, not a copy of it.
+standalone — it is the engine behind every ``simulate_*`` entry point,
+fast or reference, so the stepper *is* the timing model, not a copy of
+it.  The fast engines request only misses, and only when a network
+serves them; :func:`as_fast_stepper` gives a scalar stepper the same
+shape when a fast engine falls back to it.
 """
 
 from __future__ import annotations
@@ -106,6 +109,33 @@ def drive(stepper, network=None, cpu: int = 0):
                     )
                 else:
                     ans = req.stall
+            elif kind is SyncRequest:
+                ans = req.wait
+            else:  # ReleaseNotify
+                ans = None
+            req = stepper.send(ans)
+    except StopIteration as stop:
+        return stop.value
+
+
+def as_fast_stepper(stepper, networked: bool):
+    """Present a scalar stepper the way the fast engines present
+    themselves: yielding only misses, and only when ``networked``.
+
+    Sync requests get the trace's baked wait and release notices no
+    answer, right here, and without a network so does every miss (its
+    baked stall) — the replay answers :func:`drive` would give.  A
+    scalar fallback wrapped in this hands its driver the same request
+    stream as the fast engine it stands in for, so a co-simulation
+    serves it in the same order, and records the same misses, whether
+    or not the fallback ran.
+    """
+    try:
+        req = next(stepper)
+        while True:
+            kind = type(req)
+            if kind is MemRequest:
+                ans = (yield req) if networked else req.stall
             elif kind is SyncRequest:
                 ans = req.wait
             else:  # ReleaseNotify

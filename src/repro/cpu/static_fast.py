@@ -38,10 +38,17 @@ write/read scans) depend only on the trace contents, so they are built
 once and memoised on ``trace.fastpath_cache`` — a consistency-model
 sweep over one trace pays for them once.
 
+Each model is a resumable stepper (:mod:`repro.cpu.requests`): with a
+network it yields a :class:`~repro.cpu.requests.MemRequest` at every
+miss, in the same order and at the same cycles as the scalar stepper,
+so a standalone driver and the co-simulation engine both serve it;
+without one it never yields.  ``simulate_*_fast`` drive the steppers.
+
 Probed runs (buffer-depth histograms observe *every* push) delegate to
-the scalar implementations so the histograms stay exact; results are
-byte-identical either way.  The scalar implementations remain the
-differential oracle — see ``tests/test_fastpath.py``.
+the scalar steppers with ``yield from`` (through
+:func:`~repro.cpu.requests.as_fast_stepper`) so the histograms stay exact;
+results are byte-identical either way.  The scalar implementations
+remain the differential oracle — see ``tests/test_fastpath.py``.
 """
 
 from __future__ import annotations
@@ -56,14 +63,15 @@ from ..consistency import ConsistencyModel
 from ..isa import MemClass
 from ..tango import Trace
 from .kernels import mem_event_rows, reg_use_rows
+from .requests import MemRequest, as_fast_stepper, drive
 from .results import ExecutionBreakdown
 from .static import (
     READ_BUFFER_DEPTH,
     WRITE_BUFFER_DEPTH,
     WriteBuffer,
     _buffer_histogram,
-    simulate_ss,
-    simulate_ssbr,
+    ss_stepper,
+    ssbr_stepper,
 )
 
 _MC_NONE = int(MemClass.NONE)
@@ -145,18 +153,18 @@ def _trace_index(trace: Trace) -> _TraceIndex:
     return idx
 
 
-def simulate_base_fast(
-    trace: Trace, label: str = "BASE", network=None
-) -> ExecutionBreakdown:
-    """BASE as pure column arithmetic (drop-in for ``simulate_base``).
+def base_fast_stepper(
+    trace: Trace, label: str = "BASE", networked: bool = False
+):
+    """BASE as a resumable stepper (see :mod:`repro.cpu.requests`).
 
-    Without a network the breakdown is three masked sums.  With one, the
-    replay calls must still happen serially at the exact cycles the
-    scalar model issues them (the network is stateful), so only the
+    Without a network the breakdown is three masked sums and the stepper
+    never yields.  With one, every miss is requested at the exact cycle
+    the scalar model issues it (the network is stateful), so only the
     non-memory rows are skipped.
     """
     n = len(trace)
-    if n and network is None:
+    if n and not networked:
         cols = trace.np_columns()
         stall_np, wait_np, mc_np = cols[7], cols[8], cols[9]
         stall64 = stall_np.astype(np.int64)
@@ -172,8 +180,6 @@ def simulate_base_fast(
         )
     sync = read = write = 0
     if n:
-        cpu = trace.cpu
-        replay = network.replay_miss
         idx = _trace_index(trace)
         ev_l, cls_l = idx.ev_l, idx.cls_l
         stall_l, wait_l, addr_l = idx.stall_l, idx.wait_l, idx.addr_l
@@ -187,12 +193,12 @@ def simulate_base_fast(
             stall = stall_l[p]
             if cls == _MC_READ:
                 if stall:
-                    lat = replay(cpu, addr_l[p], False, t)
+                    lat = yield MemRequest(addr_l[p], False, t, stall)
                     read += lat
                     t += lat
             elif cls == _MC_WRITE:
                 if stall:
-                    lat = replay(cpu, addr_l[p], True, t)
+                    lat = yield MemRequest(addr_l[p], True, t, stall)
                     write += lat
                     t += lat
             elif cls == _MC_RELEASE:
@@ -209,6 +215,14 @@ def simulate_base_fast(
     )
 
 
+def simulate_base_fast(
+    trace: Trace, label: str = "BASE", network=None
+) -> ExecutionBreakdown:
+    """Drop-in for ``simulate_base``: drives :func:`base_fast_stepper`."""
+    stepper = base_fast_stepper(trace, label, networked=network is not None)
+    return drive(stepper, network=network, cpu=trace.cpu)
+
+
 def _fold_skipped_writes(buf: WriteBuffer, tau: int, addr: int) -> None:
     """Reconstruct the buffer as the scalar model would have left it after
     a run of skipped clean hit-writes whose last one was to ``addr`` at
@@ -221,25 +235,28 @@ def _fold_skipped_writes(buf: WriteBuffer, tau: int, addr: int) -> None:
         buf._pending_addrs[addr] = buf._pending_addrs.get(addr, 0) + 1
 
 
-def simulate_ssbr_fast(
+def ssbr_fast_stepper(
     trace: Trace,
     model: ConsistencyModel,
     label: str | None = None,
     write_buffer_depth: int = WRITE_BUFFER_DEPTH,
-    network=None,
+    networked: bool = False,
     probe=None,
-) -> ExecutionBreakdown:
-    """SSBR over sparse events only (drop-in for ``simulate_ssbr``)."""
+):
+    """SSBR over sparse events only, as a resumable stepper.
+
+    With ``networked`` set it yields a :class:`MemRequest` at each miss
+    (the answer re-times it); without, it never yields.
+    """
     if _buffer_histogram(
         probe, "static.write_buffer_depth", write_buffer_depth
     ) is not None:
         # Depth histograms observe every push; keep them exact.
-        return simulate_ssbr(
+        return (yield from as_fast_stepper(ssbr_stepper(
             trace, model, label=label,
             write_buffer_depth=write_buffer_depth,
-            network=network, probe=probe,
-        )
-    cpu = trace.cpu
+            clamp_time=networked, probe=probe,
+        ), networked))
     buf = WriteBuffer(model, write_buffer_depth)
     n = len(trace)
     t = 0
@@ -292,16 +309,16 @@ def simulate_ssbr_fast(
                         write += drained - t
                         t = drained
                 if stall and not buf.holds_addr(addr_l[p], t):
-                    if network is not None:
-                        stall = network.replay_miss(cpu, addr_l[p], False, t)
+                    if networked:
+                        stall = yield MemRequest(addr_l[p], False, t, stall)
                     read += stall
                     t += stall
             elif cls == _MC_WRITE or cls == _MC_RELEASE:
                 floor = 0
                 if cls == _MC_RELEASE and wo_rc:
                     floor = buf.last_perform
-                if network is not None and stall and cls == _MC_WRITE:
-                    stall = network.replay_miss(cpu, addr_l[p], True, t)
+                if networked and stall and cls == _MC_WRITE:
+                    stall = yield MemRequest(addr_l[p], True, t, stall)
                 t, full_stall = buf.push(
                     t, stall, addr_l[p], perform_floor=floor
                 )
@@ -321,7 +338,7 @@ def simulate_ssbr_fast(
                     write += last_release_perform - t
                     t = last_release_perform
                 sync += wait + stall
-                if network is None or wait + stall > 0:
+                if not networked or wait + stall > 0:
                     t += wait + stall
         # Rows after the last processed event advance time one cycle
         # each; trailing clean hit-writes free before the end of trace,
@@ -338,17 +355,33 @@ def simulate_ssbr_fast(
     )
 
 
-def simulate_ss_fast(
+def simulate_ssbr_fast(
+    trace: Trace,
+    model: ConsistencyModel,
+    label: str | None = None,
+    write_buffer_depth: int = WRITE_BUFFER_DEPTH,
+    network=None,
+    probe=None,
+) -> ExecutionBreakdown:
+    """Drop-in for ``simulate_ssbr``: drives :func:`ssbr_fast_stepper`."""
+    stepper = ssbr_fast_stepper(
+        trace, model, label=label, write_buffer_depth=write_buffer_depth,
+        networked=network is not None, probe=probe,
+    )
+    return drive(stepper, network=network, cpu=trace.cpu)
+
+
+def ss_fast_stepper(
     trace: Trace,
     model: ConsistencyModel,
     label: str | None = None,
     write_buffer_depth: int = WRITE_BUFFER_DEPTH,
     read_buffer_depth: int = READ_BUFFER_DEPTH,
-    network=None,
+    networked: bool = False,
     probe=None,
-) -> ExecutionBreakdown:
-    """SS over sparse + dynamically discovered events (drop-in for
-    ``simulate_ss``)."""
+):
+    """SS over sparse + dynamically discovered events, as a resumable
+    stepper (see :func:`ssbr_fast_stepper`)."""
     if (
         _buffer_histogram(
             probe, "static.write_buffer_depth", write_buffer_depth
@@ -357,13 +390,12 @@ def simulate_ss_fast(
             probe, "static.read_buffer_depth", read_buffer_depth
         ) is not None
     ):
-        return simulate_ss(
+        return (yield from as_fast_stepper(ss_stepper(
             trace, model, label=label,
             write_buffer_depth=write_buffer_depth,
             read_buffer_depth=read_buffer_depth,
-            network=network, probe=probe,
-        )
-    cpu = trace.cpu
+            clamp_time=networked, probe=probe,
+        ), networked))
     buf = WriteBuffer(model, write_buffer_depth)
     n = len(trace)
     reg_ready: dict[int, int] = {}
@@ -550,9 +582,9 @@ def simulate_ss_fast(
                 if serialize_reads and last_read_perform > start:
                     start = last_read_perform
                 if stall and not buf.holds_addr(addr_l[p], t):
-                    if network is not None:
-                        stall = network.replay_miss(
-                            cpu, addr_l[p], False, start
+                    if networked:
+                        stall = yield MemRequest(
+                            addr_l[p], False, start, stall
                         )
                     perform = start + stall
                 else:
@@ -651,8 +683,8 @@ def simulate_ss_fast(
                         buf.last_perform,
                         max(outstanding) if outstanding else 0,
                     )
-                if network is not None and stall and cls == _MC_WRITE:
-                    stall = network.replay_miss(cpu, addr_l[p], True, t)
+                if networked and stall and cls == _MC_WRITE:
+                    stall = yield MemRequest(addr_l[p], True, t, stall)
                 t, full_stall = buf.push(
                     t, stall, addr_l[p], perform_floor=floor
                 )
@@ -679,7 +711,7 @@ def simulate_ss_fast(
                     read += last_read_perform - t
                     t = last_read_perform
                 sync += wait + stall
-                if network is None or wait + stall > 0:
+                if not networked or wait + stall > 0:
                     t += wait + stall
                     if wait + stall < 0:
                         # Time jumped backwards: monotone-t windows no
@@ -711,3 +743,21 @@ def simulate_ss_fast(
         busy=busy, sync=sync, read=read, write=write,
         instructions=n,
     )
+
+
+def simulate_ss_fast(
+    trace: Trace,
+    model: ConsistencyModel,
+    label: str | None = None,
+    write_buffer_depth: int = WRITE_BUFFER_DEPTH,
+    read_buffer_depth: int = READ_BUFFER_DEPTH,
+    network=None,
+    probe=None,
+) -> ExecutionBreakdown:
+    """Drop-in for ``simulate_ss``: drives :func:`ss_fast_stepper`."""
+    stepper = ss_fast_stepper(
+        trace, model, label=label, write_buffer_depth=write_buffer_depth,
+        read_buffer_depth=read_buffer_depth,
+        networked=network is not None, probe=probe,
+    )
+    return drive(stepper, network=network, cpu=trace.cpu)

@@ -23,7 +23,7 @@ the line's :class:`~repro.net.directory.DirectoryModel` home node:
       (an upgrade skips the data transfer — the requester already holds
       the line)
 
-Each message walks its route's links through the event wheel: a link is
+Each message walks its route's links through the event list: a link is
 busy for ``link_occupancy`` cycles per message (finite bandwidth), so a
 burst of overlapped misses from a dynamically scheduled processor queues
 at its injection port and at hot directory nodes — the contention the
@@ -33,13 +33,14 @@ The model is *queried* synchronously: `read_miss`/`write_miss` return
 the full miss latency immediately, mutating link/directory free-times so
 later misses observe the congestion earlier ones created.  Message
 timestamps come from per-CPU virtual clocks, which are only near-sorted
-globally; the wheel clamps stragglers to the present, keeping the model
+globally; the event list clamps stragglers to the present, keeping the model
 deterministic for a fixed arrival order.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import partial
 
 from .directory import DirectoryModel
 from .topology import Crossbar, Mesh, Topology
@@ -62,7 +63,6 @@ class NetworkConfig:
     memory_latency: int = 30  # DRAM access at the home node
     remote_cache_latency: int = 6  # remote cache lookup (intervention)
     mesh_width: int | None = None  # mesh columns; None = near-square
-    wheel_size: int = 1024
 
     def key(self) -> str:
         """Short stable string for cache keys / bench labels."""
@@ -95,7 +95,7 @@ class ContentionNetwork:
             self._data_occ = self.config.link_occupancy * max(
                 1, line_size // 4
             )
-        self.wheel = EventWheel(self.config.wheel_size)
+        self.wheel = EventWheel()
         self._link_free = [0] * topology.n_links
         #: observed miss latencies, in query order
         self.latencies: list[int] = []
@@ -121,7 +121,7 @@ class ContentionNetwork:
 
     def reset(self) -> None:
         """Fresh timing state and stats (used between per-model runs)."""
-        self.wheel = EventWheel(self.config.wheel_size)
+        self.wheel = EventWheel()
         n_links = self.topology.n_links
         self._link_free = [0] * n_links
         self._link_samples = [0] * n_links
@@ -135,7 +135,7 @@ class ContentionNetwork:
     def _chain(
         self, src: int, dst: int, start: int, on_arrive, data: bool = False
     ) -> None:
-        """Schedule one message's hop chain on the wheel (no run).
+        """Schedule one message's hop chain on the event list (no run).
 
         Each hop is an event: the message departs a link when both it
         has arrived and the link is free, occupies the link for its
@@ -151,44 +151,47 @@ class ContentionNetwork:
         if not route:
             on_arrive(start)
             return
-        cfg = self.config
+        occupancy = self._data_occ if data else self.config.link_occupancy
+        self.wheel.schedule(
+            start, partial(self._hop, route, 0, occupancy, on_arrive)
+        )
+
+    def _hop(self, route, i: int, occupancy: int, on_arrive, t: int) -> None:
+        """Hop ``i`` of a message chain, reached at ``t``.  A method
+        bound through ``partial`` rather than a self-scheduling closure,
+        so a finished chain leaves no reference cycle for the garbage
+        collector to find."""
+        link = route[i]
         link_free = self._link_free
-        samples = self._link_samples
-        depth_sum = self._link_depth_sum
-        depth_max = self._link_depth_max
-        occupancy = self._data_occ if data else cfg.link_occupancy
-
-        def hop(i: int, t: int) -> None:
-            link = route[i]
-            free = link_free[link]
-            if t >= free:
-                depart = t
-                depth = 0
-            else:
-                depart = free
-                # Queue depth in messages: how many occupancy slots are
-                # already committed ahead of this hop on the link.
-                depth = (free - t + occupancy - 1) // occupancy
-                depth_sum[link] += depth
-                if depth > depth_max[link]:
-                    depth_max[link] = depth
-            samples[link] += 1
-            link_free[link] = depart + occupancy
-            arrive = depart + cfg.hop_latency
-            probe = self._probe
-            if probe is not None and probe.hop_budget > 0:
-                probe.hop_budget -= 1
-                pid, tid = probe.tracer.track("network", f"link{link}")
-                probe.tracer.instant(
-                    "hop", "net", pid, tid, depart,
-                    args={"link": link, "queue_depth": depth},
-                )
-            if i + 1 < len(route):
-                self.wheel.schedule(arrive, lambda now: hop(i + 1, now))
-            else:
-                on_arrive(arrive)
-
-        self.wheel.schedule(start, lambda now: hop(0, now))
+        free = link_free[link]
+        if t >= free:
+            depart = t
+            depth = 0
+        else:
+            depart = free
+            # Queue depth in messages: how many occupancy slots are
+            # already committed ahead of this hop on the link.
+            depth = (free - t + occupancy - 1) // occupancy
+            self._link_depth_sum[link] += depth
+            if depth > self._link_depth_max[link]:
+                self._link_depth_max[link] = depth
+        self._link_samples[link] += 1
+        link_free[link] = depart + occupancy
+        arrive = depart + self.config.hop_latency
+        probe = self._probe
+        if probe is not None and probe.hop_budget > 0:
+            probe.hop_budget -= 1
+            pid, tid = probe.tracer.track("network", f"link{link}")
+            probe.tracer.instant(
+                "hop", "net", pid, tid, depart,
+                args={"link": link, "queue_depth": depth},
+            )
+        if i + 1 < len(route):
+            self.wheel.schedule(
+                arrive, partial(self._hop, route, i + 1, occupancy, on_arrive)
+            )
+        else:
+            on_arrive(arrive)
 
     def _send(
         self, src: int, dst: int, start: int, data: bool = False

@@ -1,50 +1,33 @@
-"""Event-wheel scheduler for the interconnect timing model.
+"""Future-event list for the interconnect timing model.
 
-A classic timing wheel: pending events live in ``size`` circular buckets
-indexed by ``time % size``, with a heap-based overflow list for events
-scheduled further than one wheel revolution ahead.  Popping the next
-event is O(1) amortised for the dense, short-horizon event populations a
-network transaction produces (a handful of hop/ack completions within a
-few hundred cycles), which is what keeps the whole interconnect model
-fast in pure Python — no per-event heap churn on the hot path.
+Pending events live on one ``(time, seq, fn)`` min-heap; ``seq`` is a
+monotone counter, so two events at the same time fire in scheduling
+order and the model is deterministic.  Popping the next event jumps
+straight to its time, so idle gaps between network events (memory
+latency, far-future completions) cost nothing.
 
-Events are plain callbacks invoked as ``fn(time)``.  Two events at the
-same time fire in scheduling order (FIFO per bucket), so the model is
-deterministic.  Callbacks may schedule further events at or after the
-time currently being processed; scheduling into the past clamps to the
-present, which is how the near-sorted request streams of the
-multiprocessor executor (per-thread virtual clocks, batched slices) are
-absorbed without a global sort.
+Events are plain callbacks invoked as ``fn(time)``.  Callbacks may
+schedule further events at or after the time currently being processed;
+scheduling into the past clamps to the present, which is how the
+near-sorted request streams of the multiprocessor executor (per-thread
+virtual clocks, batched slices) are absorbed without a global sort.
 """
 
 from __future__ import annotations
 
-import heapq
+from heapq import heappop, heappush
 
 
 class EventWheel:
-    """Bucketed future-event list with an overflow heap."""
+    """Heap-ordered future-event list."""
 
-    __slots__ = ("_size", "_buckets", "_overflow", "_now", "_pending",
-                 "_seq")
+    __slots__ = ("_heap", "_now", "_running", "_seq")
 
-    def __init__(self, size: int = 1024) -> None:
-        if size < 2:
-            raise ValueError("wheel needs at least two buckets")
-        self._size = size
-        self._buckets: list[list] = [[] for _ in range(size)]
-        self._overflow: list = []  # heap of (time, seq, fn)
+    def __init__(self) -> None:
+        self._heap: list = []  # (time, seq, fn)
         self._now = 0
-        self._pending = 0
+        self._running = False
         self._seq = 0
-
-    @property
-    def now(self) -> int:
-        """Time of the most recently processed (or next) event."""
-        return self._now
-
-    def __len__(self) -> int:
-        return self._pending
 
     def schedule(self, time: int, fn) -> None:
         """Enqueue ``fn`` to run at ``time``.
@@ -56,51 +39,25 @@ class EventWheel:
         per-CPU timestamp starts a fresh, correctly-timed run.
         """
         if time < self._now:
-            if self._pending == 0:
-                self._now = time
-            else:
+            if self._running or self._heap:
                 time = self._now
+            else:
+                self._now = time
         self._seq += 1
-        self._pending += 1
-        if time - self._now < self._size:
-            self._buckets[time % self._size].append((time, self._seq, fn))
-        else:
-            heapq.heappush(self._overflow, (time, self._seq, fn))
-
-    def _refill(self) -> None:
-        """Move overflow events now within one revolution into buckets."""
-        horizon = self._now + self._size
-        overflow = self._overflow
-        while overflow and overflow[0][0] < horizon:
-            time, seq, fn = heapq.heappop(overflow)
-            self._buckets[time % self._size].append((time, seq, fn))
+        heappush(self._heap, (time, self._seq, fn))
 
     def run(self) -> int:
         """Process every pending event in time order; returns the final
-        time.  The wheel stays usable afterwards (time never rewinds)."""
-        while self._pending:
-            bucket = self._buckets[self._now % self._size]
-            if bucket:
-                due = [e for e in bucket if e[0] == self._now]
-                if due:
-                    if len(due) == len(bucket):
-                        bucket.clear()
-                    else:
-                        bucket[:] = [e for e in bucket if e[0] != self._now]
-                    due.sort(key=lambda e: e[1])
-                    for _, _, fn in due:
-                        # The event stays counted while its callback
-                        # runs, so a callback scheduling into the past
-                        # clamps to the present (never rewinds mid-run).
-                        fn(self._now)
-                        self._pending -= 1
-                    continue  # callbacks may have scheduled at `now`
-            # Nothing due this cycle: advance.  Gaps between network
-            # events are a few cycles (hop latencies, occupancies), so
-            # stepping beats maintaining a sorted index of times.
-            self._now += 1
-            if self._overflow and (
-                self._overflow[0][0] - self._now < self._size
-            ):
-                self._refill()
+        time.  The list stays usable afterwards."""
+        heap = self._heap
+        self._running = True
+        try:
+            while heap:
+                time, _, fn = heappop(heap)
+                self._now = time
+                # ``_running`` keeps the list non-idle while the callback
+                # runs, so scheduling into the past clamps to the present.
+                fn(time)
+        finally:
+            self._running = False
         return self._now

@@ -19,6 +19,7 @@ Covers the acceptance criteria of the co-simulation engine:
 
 import dataclasses
 import json
+import threading
 
 import pytest
 
@@ -31,6 +32,7 @@ from repro.cosim import (
 )
 from repro.cpu import ProcessorConfig, simulate
 from repro.experiments.runner import TraceStore
+from repro.obs import MetricsRegistry, Probe
 
 N_PROCS = 4
 
@@ -176,6 +178,77 @@ class TestSharedFabric:
         assert result.link_summary["samples"] > 0
         assert result.dir_summary["serves"] == result.net_summary["count"]
         assert result.network_kind == "crossbar"
+
+
+class TestSingleThreaded:
+    """Every engine is a generator stepper: cosim needs no threads."""
+
+    @pytest.mark.parametrize(
+        "kind_config", KIND_CONFIGS, ids=lambda c: c.kind
+    )
+    def test_mesh_cosim_starts_no_thread(
+        self, cosim_store, lu_cosim, kind_config, monkeypatch
+    ):
+        def refuse(self):
+            raise AssertionError(f"cosim started a thread: {self!r}")
+
+        monkeypatch.setattr(threading.Thread, "start", refuse)
+        result = run_cosim(
+            lu_cosim, kind_config, network_kind="mesh",
+            line_size=cosim_store.line_size,
+        )
+        assert result.net_summary["count"] > 0
+
+
+class TestScalarFallbacks:
+    """The fast engines fall back to their scalar steppers when a probe
+    wants exact buffer histograms (SS, SSBR) or per-miss statistics are
+    collected (DS); the fallback must still route every miss through
+    the shared fabric."""
+
+    @pytest.mark.parametrize(
+        "kind_config",
+        [c for c in KIND_CONFIGS if c.kind in ("ss", "ssbr")],
+        ids=lambda c: c.kind,
+    )
+    def test_histogram_fallback_matches_reference_on_mesh(
+        self, cosim_store, lu_cosim, kind_config
+    ):
+        def run(engine):
+            probe = Probe(metrics=MetricsRegistry(enabled=True))
+            result = run_cosim(
+                lu_cosim, _config(kind_config, engine),
+                network_kind="mesh", line_size=cosim_store.line_size,
+                probe=probe,
+            )
+            return result, probe
+
+        fast, fast_probe = run("fast")
+        ref, _ = run("reference")
+        assert fast.cycles() == ref.cycles()
+        assert fast.miss_latencies == ref.miss_latencies
+        assert all(fast.miss_latencies)
+        # The histogram that forced the fallback was filled.
+        hist = fast_probe.metrics.get("static.write_buffer_depth")
+        assert hist.count > 0
+
+    def test_miss_stats_fallback_matches_reference_on_mesh(
+        self, cosim_store, lu_cosim
+    ):
+        def run(engine):
+            cfg = ProcessorConfig(
+                kind="ds", model="RC", window=64, engine=engine,
+                ds={"collect_miss_stats": True},
+            )
+            return run_cosim(
+                lu_cosim, cfg, network_kind="mesh",
+                line_size=cosim_store.line_size,
+            )
+
+        fast, ref = run("fast"), run("reference")
+        assert fast.cycles() == ref.cycles()
+        assert fast.miss_latencies == ref.miss_latencies
+        assert all(fast.miss_latencies)
 
 
 class TestLiveSync:

@@ -1,7 +1,7 @@
 """Tests for the interconnect/directory timing subsystem (repro.net).
 
-Covers the event wheel (ordering, FIFO ties, overflow heap, idle clock
-rewind), the topologies (crossbar port serialization, mesh X-Y routes),
+Covers the event list (ordering, FIFO ties, far-future events, idle
+clock rewind), the topologies (crossbar port serialization, mesh X-Y routes),
 the directory's request serialization, transaction-level latencies, the
 ideal-backend equivalence of the executor on every application, the
 compiled-vs-reference differential under a real network, the faulting-PC
@@ -9,6 +9,8 @@ annotation on misaligned accesses, and the contention experiment's
 headline effect (overlapped DS misses see a more loaded network than
 BASE's serial ones).
 """
+
+import time
 
 import pytest
 
@@ -46,13 +48,24 @@ class TestEventWheel:
         wheel.run()
         assert fired == ["a", "b", "c"]
 
-    def test_overflow_beyond_wheel_size_still_fires(self):
-        wheel = EventWheel(size=8)
+    def test_far_future_event_fires_after_near_one(self):
+        wheel = EventWheel()
         fired = []
-        wheel.schedule(2, lambda t: fired.append(("near", t)))
         wheel.schedule(2000, lambda t: fired.append(("far", t)))
+        wheel.schedule(2, lambda t: fired.append(("near", t)))
         wheel.run()
         assert fired == [("near", 2), ("far", 2000)]
+
+    def test_event_a_billion_cycles_ahead_fires_promptly(self):
+        # The run jumps straight to the next event's time; stepping one
+        # cycle at a time across the gap would take minutes.
+        wheel = EventWheel()
+        fired = []
+        wheel.schedule(10**9, fired.append)
+        start = time.perf_counter()
+        assert wheel.run() == 10**9
+        assert time.perf_counter() - start < 1.0
+        assert fired == [10**9]
 
     def test_callback_may_schedule_at_current_time(self):
         wheel = EventWheel()
